@@ -1,8 +1,10 @@
 #pragma once
 // Internal building blocks shared by the batch HeteroPrio engine
-// (core/heteroprio.cpp) and the online rolling-horizon runtime
-// (online/runtime.cpp): the double-ended ready structure, the spoliation
-// victim ordering with its incremental per-resource running sets, and the
+// (core/heteroprio.cpp), the online rolling-horizon runtime
+// (online/runtime.cpp) and the free-running parallel slices
+// (par/heteroprio_par.cpp): the double-ended ready structure, the spoliation
+// victim ordering with its incremental per-resource running sets, the
+// SIMD finish-time scans that replace an event heap, and the
 // strict-improvement test of Algorithm 1.
 //
 // This header is library-internal (not part of the public API in
@@ -14,12 +16,18 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 
 #include "model/task.hpp"
 #include "model/task_soa.hpp"
 #include "util/arena.hpp"
 #include "util/key_sort.hpp"
+
+#if defined(__SSE2__) && !defined(HP_NO_SIMD)
+#include <emmintrin.h>
+#define HP_ENGINE_SSE2 1
+#endif
 
 namespace hp::detail {
 
@@ -160,6 +168,51 @@ class RunningSet {
   VictimLess less_;
   util::ArenaVector<VictimKey> keys_;
 };
+
+/// Earliest entry of `finish` (idle lanes hold +inf; `count` is padded to a
+/// multiple of two with +inf). The scalar min loop is a serial minsd
+/// dependency chain — at ~4 cycles per link it dominates the engine's inner
+/// loop — so the SSE2 form runs two independent accumulator chains.
+inline double min_finish_time(const double* finish,
+                              std::size_t count) noexcept {
+#ifdef HP_ENGINE_SSE2
+  __m128d acc0 = _mm_loadu_pd(finish);
+  __m128d acc1 = acc0;
+  std::size_t w = 2;
+  for (; w + 4 <= count; w += 4) {
+    acc0 = _mm_min_pd(acc0, _mm_loadu_pd(finish + w));
+    acc1 = _mm_min_pd(acc1, _mm_loadu_pd(finish + w + 2));
+  }
+  for (; w + 2 <= count; w += 2) {
+    acc0 = _mm_min_pd(acc0, _mm_loadu_pd(finish + w));
+  }
+  acc0 = _mm_min_pd(acc0, acc1);
+  acc0 = _mm_min_sd(acc0, _mm_unpackhi_pd(acc0, acc0));
+  return _mm_cvtsd_f64(acc0);
+#else
+  double t = finish[0];
+  for (std::size_t w = 1; w < count; ++w) t = std::min(t, finish[w]);
+  return t;
+#endif
+}
+
+/// Bitmask of lanes with finish[w] == t (the completion batch at instant t).
+inline std::uint64_t equal_finish_mask(const double* finish,
+                                       std::size_t count, double t) noexcept {
+  std::uint64_t mask = 0;
+#ifdef HP_ENGINE_SSE2
+  const __m128d vt = _mm_set1_pd(t);
+  for (std::size_t w = 0; w + 2 <= count; w += 2) {
+    const int bits = _mm_movemask_pd(_mm_cmpeq_pd(_mm_loadu_pd(finish + w), vt));
+    mask |= static_cast<std::uint64_t>(bits) << w;
+  }
+#else
+  for (std::size_t w = 0; w < count; ++w) {
+    if (finish[w] == t) mask |= std::uint64_t{1} << w;
+  }
+#endif
+  return mask;
+}
 
 /// Strict-improvement test with a small relative margin, so that the exact
 /// "equal completion time" cases of Theorems 8/11/14 (where spoliation must

@@ -20,11 +20,6 @@
 #include "util/arena.hpp"
 #include "util/key_sort.hpp"
 
-#if defined(__SSE2__) && !defined(HP_NO_SIMD)
-#include <emmintrin.h>
-#define HP_ENGINE_SSE2 1
-#endif
-
 namespace hp {
 
 namespace detail {
@@ -51,50 +46,6 @@ struct EngineEvent {
   std::uint64_t generation = 0;  ///< stale-event filter after aborts
   double value = 0.0;
 };
-
-/// Earliest entry of `finish` (idle lanes hold +inf; `count` is padded to a
-/// multiple of two with +inf). The scalar min loop is a serial minsd
-/// dependency chain — at ~4 cycles per link it dominates the engine's inner
-/// loop — so the SSE2 form runs two independent accumulator chains.
-double min_finish_time(const double* finish, std::size_t count) noexcept {
-#ifdef HP_ENGINE_SSE2
-  __m128d acc0 = _mm_loadu_pd(finish);
-  __m128d acc1 = acc0;
-  std::size_t w = 2;
-  for (; w + 4 <= count; w += 4) {
-    acc0 = _mm_min_pd(acc0, _mm_loadu_pd(finish + w));
-    acc1 = _mm_min_pd(acc1, _mm_loadu_pd(finish + w + 2));
-  }
-  for (; w + 2 <= count; w += 2) {
-    acc0 = _mm_min_pd(acc0, _mm_loadu_pd(finish + w));
-  }
-  acc0 = _mm_min_pd(acc0, acc1);
-  acc0 = _mm_min_sd(acc0, _mm_unpackhi_pd(acc0, acc0));
-  return _mm_cvtsd_f64(acc0);
-#else
-  double t = finish[0];
-  for (std::size_t w = 1; w < count; ++w) t = std::min(t, finish[w]);
-  return t;
-#endif
-}
-
-/// Bitmask of lanes with finish[w] == t (the completion batch at instant t).
-std::uint64_t equal_finish_mask(const double* finish, std::size_t count,
-                                double t) noexcept {
-  std::uint64_t mask = 0;
-#ifdef HP_ENGINE_SSE2
-  const __m128d vt = _mm_set1_pd(t);
-  for (std::size_t w = 0; w + 2 <= count; w += 2) {
-    const int bits = _mm_movemask_pd(_mm_cmpeq_pd(_mm_loadu_pd(finish + w), vt));
-    mask |= static_cast<std::uint64_t>(bits) << w;
-  }
-#else
-  for (std::size_t w = 0; w < count; ++w) {
-    if (finish[w] == t) mask |= std::uint64_t{1} << w;
-  }
-#endif
-  return mask;
-}
 
 /// Heap-free engine for the unobserved independent fault-free case (the
 /// throughput path of BENCH_core.json). Preconditions checked by the caller:

@@ -16,17 +16,21 @@
 //    every counter are bitwise-identical to the sequential engine — the
 //    property test_par_regression and the `par` fuzz property enforce.
 //
-//  * Free-running (canonical = false): the per-shard sorted runs are
-//    published unmerged as two-ended ready blocks (par::ReadyShards), and
-//    W_eff threads — each owning a disjoint slice of the platform with at
-//    least one CPU and one GPU when both exist — claim on demand: idle
-//    GPUs pop shard fronts, idle CPUs pop backs, stealing from other
-//    shards round the ring on a miss. Spoliation runs within each slice,
-//    and an end-game pass moves the makespan-defining task to whichever
-//    worker finishes it strictly earlier (recording the aborted progress),
-//    restoring the last-task spoliation inequality the proven ratio
-//    bounds rest on. The result is a valid schedule within the watchdog
-//    bounds, not a bitwise-identical one.
+//  * Free-running (canonical = false): W_eff threads — each owning a
+//    disjoint slice of the platform with at least one CPU and one GPU when
+//    both exist — sort their own shards and publish them unmerged as
+//    two-ended ready blocks (par::ReadyShards), then claim on demand in
+//    batches: idle GPUs take runs from shard fronts, idle CPUs from backs,
+//    stealing from other shards round the ring on a miss, under a
+//    simulated-time pacing window checked once per batch. Spoliation runs
+//    within each slice, and an end-game pass moves the makespan-defining
+//    task to whichever worker finishes it strictly earlier (recording the
+//    aborted progress), restoring the last-task spoliation inequality the
+//    proven ratio bounds rest on. The result is a valid schedule within
+//    the watchdog bounds, not a bitwise-identical one.
+//
+// Both modes run their W bodies on persistent scheduler threads
+// (par/scheduler_crew.hpp), slice 0 on the calling thread.
 //
 // Cases outside the fast-path preconditions (DAGs via the dag entry, fault
 // plans, attached sinks/logs, > 63 workers) delegate to the sequential

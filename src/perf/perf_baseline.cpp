@@ -10,6 +10,7 @@
 #include <optional>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "baselines/dualhp.hpp"
 #include "baselines/heft.hpp"
@@ -50,6 +51,35 @@ double time_best(int reps, Fn&& fn) {
   return best;
 }
 
+/// Best-of-`reps` wall times of two schedule constructions timed in
+/// alternation: one untimed warm-up of each, then every repetition times
+/// both, swapping which goes first each time. Two series compared against
+/// each other (the W=1 parity gate) then see the same cache, allocator and
+/// frequency states; timing them minutes apart compares machine states, not
+/// code.
+template <typename FnA, typename FnB>
+std::pair<double, double> time_best_alternated(int reps, FnA&& fa, FnB&& fb) {
+  fa();
+  fb();
+  double best_a = std::numeric_limits<double>::infinity();
+  double best_b = best_a;
+  const auto timed = [](auto& fn, double& best) {
+    const auto start = Clock::now();
+    fn();
+    best = std::min(best, seconds_since(start));
+  };
+  for (int r = 0; r < reps; ++r) {
+    if (r % 2 == 0) {
+      timed(fa, best_a);
+      timed(fb, best_b);
+    } else {
+      timed(fb, best_b);
+      timed(fa, best_a);
+    }
+  }
+  return {best_a, best_b};
+}
+
 Instance make_instance(std::size_t n) {
   util::Rng rng(util::seed_from_cell({static_cast<std::uint64_t>(n)}));
   UniformGenParams params;
@@ -83,24 +113,60 @@ PerfBaseline run_perf_baseline(const PerfBaselineOptions& options) {
     if (options.verbose) std::cerr << "[perf] " << line << '\n';
   };
 
+  const auto par_series = [](std::size_t n, int threads, double secs) {
+    return PerfSeries{"HeteroPrio-par", n, secs,
+                      static_cast<double>(n) / secs, threads};
+  };
+  const auto par_options = [](int threads) {
+    HeteroPrioOptions hp_options;
+    hp_options.threads = threads;
+    hp_options.canonical = false;
+    return hp_options;
+  };
+  const bool w1_measured =
+      std::find(options.parallel_threads.begin(),
+                options.parallel_threads.end(),
+                1) != options.parallel_threads.end();
+
+  // W=1 entries timed alongside the sequential series (see below), emitted
+  // with the rest of the parallel-scaling series.
+  std::map<std::size_t, PerfSeries> paired_w1;
   double hp_best_rate = 0.0;
   double ref_best_rate = 0.0;
   std::size_t largest_n = 0;
   for (const std::size_t n : options.sizes) {
     const Instance inst = make_instance(n);
     const auto tasks = inst.tasks();
-    const auto measure = [&](const std::string& algo, auto&& run) {
-      const double secs = time_best(out.repetitions, run);
+    const auto record = [&](const std::string& algo, double secs) {
       const double rate = static_cast<double>(n) / secs;
       out.series.push_back(PerfSeries{algo, n, secs, rate});
       note(algo + " n=" + std::to_string(n) + ": " +
            std::to_string(rate / 1e6) + "M tasks/s");
       return rate;
     };
+    const auto measure = [&](const std::string& algo, auto&& run) {
+      return record(algo, time_best(out.repetitions, run));
+    };
 
-    const double hp_rate = measure("HeteroPrio", [&] {
-      (void)heteroprio(tasks, options.platform);
-    });
+    const auto run_hp = [&] { (void)heteroprio(tasks, options.platform); };
+    double hp_rate = 0.0;
+    const bool paired =
+        w1_measured &&
+        std::find(options.parallel_sizes.begin(), options.parallel_sizes.end(),
+                  n) != options.parallel_sizes.end();
+    if (paired) {
+      // The W=1 parity gate compares HeteroPrio-par W=1 with this series,
+      // and W=1 is the same sequential call: time the two in alternation
+      // over the same instance so the gate sees dispatch overhead only.
+      const HeteroPrioOptions w1_options = par_options(1);
+      const auto [hp_secs, w1_secs] = time_best_alternated(
+          out.repetitions, run_hp,
+          [&] { (void)heteroprio(tasks, options.platform, w1_options); });
+      hp_rate = record("HeteroPrio", hp_secs);
+      paired_w1.emplace(n, par_series(n, 1, w1_secs));
+    } else {
+      hp_rate = measure("HeteroPrio", run_hp);
+    }
     measure("DualHP", [&] { (void)dualhp(tasks, options.platform); });
     measure("HEFT", [&] { (void)heft_independent(tasks, options.platform); });
     if (n >= largest_n) {
@@ -121,25 +187,28 @@ PerfBaseline run_perf_baseline(const PerfBaselineOptions& options) {
 
   // Parallel-scaling series: the parallel engine in free-running mode at
   // each thread count. W=1 delegates to the sequential engine, anchoring
-  // the perf-check parity gate; higher W exercise the sharded ready
-  // structure and work-stealing for real.
+  // the perf-check parity gate (timed above wherever a sequential entry
+  // exists at the same n); higher W exercise the sharded ready structure
+  // and work-stealing for real.
   for (const std::size_t n : options.parallel_sizes) {
     const Instance inst = make_instance(n);
     const auto tasks = inst.tasks();
     for (const int threads : options.parallel_threads) {
       if (threads < 1) continue;
-      HeteroPrioOptions hp_options;
-      hp_options.threads = threads;
-      hp_options.canonical = false;
-      const double secs = time_best(out.repetitions, [&] {
-        (void)heteroprio(tasks, options.platform, hp_options);
-      });
-      const double rate = static_cast<double>(n) / secs;
-      out.series.push_back(PerfSeries{"HeteroPrio-par", n, secs, rate,
-                                      threads});
+      const auto w1 = paired_w1.find(n);
+      if (threads == 1 && w1 != paired_w1.end()) {
+        out.series.push_back(w1->second);
+      } else {
+        const HeteroPrioOptions hp_options = par_options(threads);
+        const double secs = time_best(out.repetitions, [&] {
+          (void)heteroprio(tasks, options.platform, hp_options);
+        });
+        out.series.push_back(par_series(n, threads, secs));
+      }
+      const PerfSeries& s = out.series.back();
       note("HeteroPrio-par n=" + std::to_string(n) + " W=" +
-           std::to_string(threads) + ": " + std::to_string(rate / 1e6) +
-           "M tasks/s");
+           std::to_string(threads) + ": " +
+           std::to_string(s.tasks_per_sec / 1e6) + "M tasks/s");
     }
   }
 

@@ -31,7 +31,9 @@ struct PerfBaselineOptions {
   /// Parallel-scaling series (the v3 addition): time the parallel engine
   /// (free-running mode, par::heteroprio_par_run) at each W in
   /// `parallel_threads` for each n in `parallel_sizes`. W=1 delegates to
-  /// the sequential engine and anchors the parity gate of perf-check.
+  /// the sequential engine and anchors the parity gate of perf-check; at
+  /// every n also in `sizes` it is timed in alternation with the
+  /// sequential HeteroPrio series (same instance, warm-up and K).
   /// Empty `parallel_sizes` disables the series.
   std::vector<int> parallel_threads = {1, 2, 4, 8};
   std::vector<std::size_t> parallel_sizes = {100000, 1000000};

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bounds/area_bound.hpp"
@@ -286,6 +287,45 @@ TEST(ParRegression, FreeRunningCountersAccountForEveryTask) {
   EXPECT_EQ(registry.get("par_threads_used"),
             static_cast<double>(par_stats.threads_used));
   EXPECT_EQ(registry.get("par_canonical"), 0.0);
+}
+
+TEST(ParRegression, ConcurrentFreeRunningCallersShareTheCrewSafely) {
+  // Scheduler threads persist across calls and every call takes crew
+  // threads of its own, so service workers may enter the free-running
+  // engine at once. Two callers on different instances, many rounds each:
+  // every schedule must stay valid, complete and within the proven ratio.
+  const Platform platform(20, 4);
+  const std::vector<std::vector<Task>> instances = {
+      make_tasks(3000, 31, /*distinct=*/false),
+      make_tasks(2000, 32, /*distinct=*/true)};
+  constexpr int kRounds = 12;
+  std::vector<std::vector<Schedule>> schedules(instances.size());
+  const auto caller = [&](std::size_t k) {
+    HeteroPrioOptions options;
+    options.threads = 2;
+    options.canonical = false;
+    for (int r = 0; r < kRounds; ++r) {
+      schedules[k].push_back(heteroprio(instances[k], platform, options));
+    }
+  };
+  std::thread other(caller, 1);
+  caller(0);
+  other.join();
+
+  for (std::size_t k = 0; k < instances.size(); ++k) {
+    const double lb = opt_lower_bound(instances[k], platform);
+    ASSERT_EQ(schedules[k].size(), static_cast<std::size_t>(kRounds));
+    for (const Schedule& s : schedules[k]) {
+      SCOPED_TRACE("instance " + std::to_string(k));
+      const ScheduleCheck check = check_schedule(s, instances[k], platform);
+      EXPECT_TRUE(check.ok) << check.message;
+      EXPECT_TRUE(s.complete());
+      const obs::BoundCheck bc =
+          obs::check_makespan_bound(s.makespan(), lb, platform, {});
+      EXPECT_FALSE(bc.violated)
+          << "ratio " << bc.ratio << " > proven " << bc.bound;
+    }
+  }
 }
 
 TEST(ParRegression, FuzzCasesAgreeCanonicallyAndFreeRunSafely) {
