@@ -694,9 +694,9 @@ OracleVerdict check_case(const FuzzCase& c, SchedulerId sched,
   if ((options.props & kPropServe) && c.serve_workers >= 2) {
     // The service is a routing layer, never a scheduling layer: any case
     // submitted through it must come back bitwise-identical to the direct
-    // engine run (`run`), whatever worker served it, however requests were
-    // batched, and under whatever admission pressure — and every
-    // submission must be answered (zero silent drops).
+    // engine run (`run`), whatever worker served it and under whatever
+    // admission pressure — and every submission must be answered (zero
+    // silent drops).
     ++verdict.properties_checked;
     const auto check_response = [&](const serve::Response& r,
                                     const char* leg) {
@@ -733,7 +733,6 @@ OracleVerdict check_case(const FuzzCase& c, SchedulerId sched,
     {  // Leg one: one tenant, one worker.
       serve::ServiceOptions so;
       so.workers = 1;
-      so.max_clients = 1;
       serve::Service service(so);
       serve::Service::Ticket ticket =
           service.submit(serve_request(c, sched, 0), 0);
@@ -746,7 +745,6 @@ OracleVerdict check_case(const FuzzCase& c, SchedulerId sched,
     {  // Leg two: several tenants over serve_workers workers.
       serve::ServiceOptions so;
       so.workers = c.serve_workers;
-      so.max_clients = 1;
       serve::Service service(so);
       constexpr int kRepeats = 4;
       std::vector<std::future<serve::Response>> futures;
@@ -767,7 +765,6 @@ OracleVerdict check_case(const FuzzCase& c, SchedulerId sched,
            static_cast<std::uint64_t>(sched)}));
       serve::ServiceOptions so;
       so.workers = c.serve_workers;
-      so.max_clients = 1;
       so.watermark_high = 1 + rng.bounded(3);
       so.shed_policy = rng.bernoulli(0.5) ? online::ShedPolicy::kDefer
                                           : online::ShedPolicy::kReject;

@@ -37,10 +37,7 @@ DriverReport run_driver(const RequestFactory& make_request,
     }
   }
 
-  ServiceOptions service_options = options.service;
-  service_options.max_clients =
-      std::max(service_options.max_clients, clients);
-  Service service(service_options);
+  Service service(options.service);
 
   std::vector<ClientOutcome> outcomes(static_cast<std::size_t>(clients));
   const auto started = Clock::now();

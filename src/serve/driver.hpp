@@ -10,7 +10,7 @@
 //    its submission returned and the submitting client's tenant,
 //  * (with `verify`) the bitwise differential — every completed response's
 //    schedule and recovery report equal a direct execute_request() of the
-//    same request, regardless of worker, batching or admission pressure.
+//    same request, regardless of worker or admission pressure.
 //
 // Workloads are pre-generated before the clock starts, so wall_seconds and
 // requests_per_sec measure the service (queue + admission + engine), not
@@ -33,7 +33,7 @@ using RequestFactory = std::function<Request(int client, int index)>;
 struct DriverOptions {
   int clients = 4;               ///< client threads (tenants, typically)
   int requests_per_client = 50;
-  ServiceOptions service;        ///< max_clients is raised to `clients`
+  ServiceOptions service;        ///< the service the clients submit to
   /// Re-run every completed request directly and require bitwise-identical
   /// schedules and recovery reports (costs one extra engine run each).
   bool verify = true;

@@ -11,8 +11,7 @@
 // fault::execute_plan_with_faults when a plan is present. That purity is
 // what the 12th oracle property (`serve`) and the driver's --verify mode
 // assert: a schedule computed through the service — any worker, any
-// batching, any admission pressure — is bitwise-identical to the direct
-// engine call.
+// admission pressure — is bitwise-identical to the direct engine call.
 
 #include <cstdint>
 #include <string>

@@ -1,5 +1,6 @@
 #include "serve/service.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <utility>
@@ -9,9 +10,6 @@ namespace hp::serve {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-constexpr auto kIdleSleep = std::chrono::microseconds(50);
-constexpr int kIdleYields = 32;  ///< yields before backing off to a sleep
 
 }  // namespace
 
@@ -38,16 +36,8 @@ const char* admission_name(Admission admission) noexcept {
   return "?";
 }
 
-Service::Service(const ServiceOptions& options)
-    : options_(options),
-      // Epoch participants: every client slot, every worker, plus one
-      // control slot drain() pushes re-admitted requests through.
-      queue_(static_cast<std::size_t>(std::max(1, options.max_clients)) +
-                 static_cast<std::size_t>(std::max(1, options.workers)) + 1,
-             options.segment_capacity, options.queue_capacity) {
+Service::Service(const ServiceOptions& options) : options_(options) {
   options_.workers = std::max(1, options_.workers);
-  options_.max_clients = std::max(1, options_.max_clients);
-  options_.batch_size = std::max(1, options_.batch_size);
   if (options_.watermark_high > 0 && options_.watermark_low == 0) {
     options_.watermark_low = options_.watermark_high / 2;
   }
@@ -60,8 +50,7 @@ Service::Service(const ServiceOptions& options)
 
 Service::~Service() { drain(); }
 
-Service::Ticket Service::submit(Request request, int client_slot) {
-  assert(client_slot >= 0 && client_slot < options_.max_clients);
+Service::Ticket Service::submit(Request request, int /*client_slot*/) {
   auto* pending = new PendingRequest(std::move(request));
   pending->submit_time = Clock::now();
 
@@ -78,7 +67,7 @@ Service::Ticket Service::submit(Request request, int client_slot) {
     if (draining_) {
       ticket.admission = Admission::kRejected;
     } else if (options_.watermark_high > 0) {
-      if (!shedding_ && backlog_ >= options_.watermark_high) {
+      if (!shedding_ && queue_.size() >= options_.watermark_high) {
         shedding_ = true;
         ++acct_.shed_mode_changes;
       }
@@ -105,32 +94,17 @@ Service::Ticket Service::submit(Request request, int client_slot) {
         ++acct_.accepted;
         ++acct_.in_flight;
         ++tenant.accepted;
-        ++backlog_;
+        queue_.push_back(pending);
         break;
     }
   }
 
+  // `pending` belongs to the service once queued or parked; only a
+  // rejection is still ours to answer.
   if (ticket.admission == Admission::kRejected) {
     reject_request(pending);
-    return ticket;
-  }
-  if (ticket.admission == Admission::kAccepted) {
-    if (!queue_.try_push(static_cast<std::size_t>(client_slot), pending)) {
-      // Hard custody cap hit: convert the acceptance into a counted
-      // rejection — still answered, still balanced.
-      {
-        const std::lock_guard<std::mutex> lock(state_mutex_);
-        --acct_.accepted;
-        --acct_.in_flight;
-        ++acct_.rejected;
-        TenantCounters& tenant = tenant_counts_[pending->request.tenant];
-        --tenant.accepted;
-        ++tenant.rejected;
-        --backlog_;
-      }
-      ticket.admission = Admission::kRejected;
-      reject_request(pending);
-    }
+  } else if (ticket.admission == Admission::kAccepted) {
+    work_ready_.notify_one();
   }
   return ticket;
 }
@@ -155,8 +129,9 @@ void Service::finish_request(PendingRequest* pending, int worker_index) {
       std::chrono::duration<double>(Clock::now() - pending->submit_time)
           .count();
 
-  WorkerMetrics& wm = worker_metrics_[static_cast<std::size_t>(worker_index)];
-  obs::MetricsRegistry& tm = wm.tenants[pending->request.tenant];
+  obs::MetricsRegistry& tm =
+      worker_metrics_[static_cast<std::size_t>(worker_index)]
+                     [pending->request.tenant];
   tm.counter("serve_requests_completed") += 1.0;
   tm.counter("serve_tasks_scheduled") +=
       static_cast<double>(pending->request.graph.size());
@@ -172,106 +147,69 @@ void Service::finish_request(PendingRequest* pending, int worker_index) {
   delete pending;
 }
 
-void Service::update_shedding_locked(std::size_t epoch_slot) {
+bool Service::update_shedding_locked() {
   if (options_.watermark_high > 0) {
-    if (!shedding_ && backlog_ >= options_.watermark_high) {
+    if (!shedding_ && queue_.size() >= options_.watermark_high) {
       shedding_ = true;
       ++acct_.shed_mode_changes;
     }
-    if (shedding_ && backlog_ <= options_.watermark_low) {
+    if (shedding_ && queue_.size() <= options_.watermark_low) {
       shedding_ = false;
       ++acct_.shed_mode_changes;
     }
   }
   // Re-admit parked requests while below the high watermark (drain
   // force-admits regardless — graceful shutdown completes what it holds).
+  // Workers call this at every pop, which is enough: requests park only
+  // while shedding, shedding implies a non-empty queue, and the pop that
+  // clears shedding runs this loop.
+  bool moved = false;
   while (!parked_.empty() &&
          (draining_ || (!shedding_ && (options_.watermark_high == 0 ||
-                                       backlog_ < options_.watermark_high)))) {
-    PendingRequest* pending = parked_.front();
-    if (!queue_.try_push(epoch_slot, pending)) break;  // hard cap; retry later
+                                       queue_.size() <
+                                           options_.watermark_high)))) {
+    queue_.push_back(parked_.front());
     parked_.pop_front();
-    ++backlog_;
+    moved = true;
     if (options_.watermark_high > 0 && !draining_ &&
-        backlog_ >= options_.watermark_high) {
+        queue_.size() >= options_.watermark_high) {
       shedding_ = true;
       ++acct_.shed_mode_changes;
       break;
     }
   }
+  return moved;
 }
 
 void Service::worker_main(int worker_index) {
-  const std::size_t epoch_slot =
-      static_cast<std::size_t>(options_.max_clients + worker_index);
-  WorkerMetrics& wm = worker_metrics_[static_cast<std::size_t>(worker_index)];
-  double& batches = wm.own.counter("serve_batches");
-  obs::Histogram& batch_sizes = wm.own.histogram("serve_batch_size");
-
-  std::vector<PendingRequest*> batch;
-  batch.reserve(static_cast<std::size_t>(options_.batch_size));
-  int idle = 0;
   for (;;) {
-    batch.clear();
     PendingRequest* pending = nullptr;
-    while (batch.size() < static_cast<std::size_t>(options_.batch_size) &&
-           queue_.try_pop(epoch_slot, &pending)) {
-      batch.push_back(pending);
-    }
-    if (!batch.empty()) {
-      idle = 0;
-      batches += 1.0;
-      batch_sizes.record(static_cast<double>(batch.size()));
-      {
-        const std::lock_guard<std::mutex> lock(state_mutex_);
-        backlog_ -= batch.size();
-        update_shedding_locked(epoch_slot);
-      }
-      for (PendingRequest* p : batch) finish_request(p, worker_index);
-      continue;
-    }
+    bool readmitted = false;
     {
-      const std::lock_guard<std::mutex> lock(state_mutex_);
-      update_shedding_locked(epoch_slot);
-      if (draining_ && backlog_ == 0 && parked_.empty()) return;
+      std::unique_lock<std::mutex> lock(state_mutex_);
+      work_ready_.wait(lock, [this] { return !queue_.empty() || draining_; });
+      if (queue_.empty()) return;  // draining, and nothing left to serve
+      pending = queue_.front();
+      queue_.pop_front();
+      readmitted = update_shedding_locked();
     }
-    // Empty (or a spurious pop failure while a producer is mid-flight):
-    // yield briefly, then back off so idle workers stay cheap.
-    if (++idle <= kIdleYields) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(kIdleSleep);
-    }
+    if (readmitted) work_ready_.notify_all();
+    finish_request(pending, worker_index);
   }
 }
 
 void Service::drain() {
-  // Serializes concurrent drain() callers (the flush loop and the joins
-  // must run exactly once); state_mutex_ stays the inner lock.
+  // Serializes concurrent drain() callers (the joins must run exactly
+  // once); state_mutex_ stays the inner lock.
   const std::lock_guard<std::mutex> drain_lock(drain_mutex_);
-  const std::size_t control_slot =
-      static_cast<std::size_t>(options_.max_clients + options_.workers);
   {
     const std::lock_guard<std::mutex> lock(state_mutex_);
     if (draining_ && workers_.empty()) return;  // already drained
     draining_ = true;
+    update_shedding_locked();  // force-admits the whole park
   }
-  // Force-admit everything parked; workers (and this push loop) finish the
-  // rest. A push can only fail against a hard custody cap — wait for the
-  // workers to free capacity.
-  for (;;) {
-    PendingRequest* pending = nullptr;
-    {
-      const std::lock_guard<std::mutex> lock(state_mutex_);
-      if (parked_.empty()) break;
-      pending = parked_.front();
-      parked_.pop_front();
-      ++backlog_;
-    }
-    while (!queue_.try_push(control_slot, pending)) {
-      std::this_thread::sleep_for(kIdleSleep);
-    }
-  }
+  // Workers finish the queue, then see draining_ with nothing left.
+  work_ready_.notify_all();
   for (std::thread& worker : workers_) worker.join();
   workers_.clear();
   assert(accounting().balanced());
@@ -312,21 +250,13 @@ obs::MetricsRegistry Service::tenant_metrics(int tenant) const {
           static_cast<double>(it->second.deferred);
     }
   }
-  // Worker registries are single-writer and lock-free; exact only while
+  // Worker registries are single-writer and unlocked; exact only while
   // the workers are idle (see the header contract).
-  for (const WorkerMetrics& wm : worker_metrics_) {
-    const auto it = wm.tenants.find(tenant);
-    if (it != wm.tenants.end()) merged.merge(it->second);
+  for (const TenantRegistries& registries : worker_metrics_) {
+    const auto it = registries.find(tenant);
+    if (it != registries.end()) merged.merge(it->second);
   }
   return merged;
-}
-
-std::size_t Service::queue_segments_allocated() const noexcept {
-  return queue_.segments_allocated();
-}
-
-std::size_t Service::queue_segments_recycled() const noexcept {
-  return queue_.segments_recycled();
 }
 
 }  // namespace hp::serve

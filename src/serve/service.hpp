@@ -2,9 +2,11 @@
 // Long-running multi-tenant scheduling service over the engines.
 //
 // Clients submit Requests from their own threads; a pool of service workers
-// drains the lock-free MPMC intake queue (serve/mpmc_queue.hpp) in batches
-// and answers each request through a future. Three layers sit between
-// submit() and the engine:
+// takes them one at a time from a FIFO intake deque and answers each
+// request through a future. One mutex guards admission, the intake deque
+// and the accounting, so a submission is admitted and enqueued in a single
+// critical section; idle workers block on a condition variable. Three
+// layers sit between submit() and the engine:
 //
 //  * Admission control with the high/low-watermark hysteresis of the online
 //    runtime (src/online): once the queued backlog reaches watermark_high
@@ -23,11 +25,12 @@
 //
 // Determinism contract: workers run serve::execute_request, a pure function
 // of the request, so the schedule a client receives is bitwise-identical to
-// a direct engine call no matter which worker served it, how requests were
-// batched, or what admission pressure looked like. Graceful drain: drain()
-// stops intake, force-admits every parked request, and joins the workers
-// only after the queue is empty — nothing is lost or double-served.
+// a direct engine call no matter which worker served it or what admission
+// pressure looked like. Graceful drain: drain() stops intake, force-admits
+// every parked request, and joins the workers only after the queue is
+// empty — nothing is lost or double-served.
 
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <future>
@@ -38,7 +41,6 @@
 
 #include "obs/metrics.hpp"
 #include "online/runtime.hpp"
-#include "serve/mpmc_queue.hpp"
 #include "serve/request.hpp"
 
 namespace hp::serve {
@@ -51,13 +53,7 @@ enum class Admission : std::uint8_t { kAccepted = 0, kDeferred, kRejected };
 [[nodiscard]] const char* admission_name(Admission admission) noexcept;
 
 struct ServiceOptions {
-  int workers = 2;      ///< service worker threads draining the queue
-  int max_clients = 8;  ///< max concurrent submitting threads (epoch slots)
-  int batch_size = 8;   ///< requests a worker claims per wakeup
-  std::uint32_t segment_capacity = 64;  ///< intake ring slots per segment
-  /// Hard cap on values in queue custody (0 = unbounded; admission
-  /// watermarks are the intended bound — a full queue rejects).
-  std::size_t queue_capacity = 0;
+  int workers = 2;  ///< service worker threads draining the queue
   /// Admission hysteresis on the queued backlog: shedding starts at
   /// watermark_high and clears at watermark_low (default high / 2).
   /// 0 disables admission control entirely.
@@ -82,10 +78,9 @@ class Service {
     std::future<Response> response;
   };
 
-  /// Submit from the calling thread, identified by `client_slot` in
-  /// [0, options.max_clients). Distinct concurrent submitters must use
-  /// distinct slots; a slot may be reused by consecutive threads.
-  [[nodiscard]] Ticket submit(Request request, int client_slot);
+  /// Submit from any thread; any number of threads may submit at once.
+  /// The second argument is ignored (kept so existing callers compile).
+  [[nodiscard]] Ticket submit(Request request, int /*client_slot*/);
 
   /// Stop intake, force-admit every deferred request, finish everything in
   /// custody and join the workers. Idempotent. After drain() the accounting
@@ -98,7 +93,7 @@ class Service {
   struct Accounting {
     std::uint64_t submitted = 0;
     std::uint64_t accepted = 0;   ///< taken into custody (deferred included)
-    std::uint64_t rejected = 0;   ///< answered kRejected (shed or full)
+    std::uint64_t rejected = 0;   ///< answered kRejected (shed or draining)
     std::uint64_t deferred = 0;   ///< park events (subset of accepted)
     std::uint64_t completed = 0;
     std::uint64_t in_flight = 0;  ///< accepted - completed
@@ -120,10 +115,6 @@ class Service {
   /// drain() (workers write their registries without locks while running).
   [[nodiscard]] obs::MetricsRegistry tenant_metrics(int tenant) const;
 
-  /// Intake-queue reclamation counters (tests: allocation stays flat).
-  [[nodiscard]] std::size_t queue_segments_allocated() const noexcept;
-  [[nodiscard]] std::size_t queue_segments_recycled() const noexcept;
-
  private:
   struct TenantCounters {
     std::uint64_t submitted = 0;
@@ -133,33 +124,34 @@ class Service {
     std::uint64_t completed = 0;
   };
 
-  /// Per-worker metrics, written lock-free by the owning worker.
-  struct WorkerMetrics {
-    obs::MetricsRegistry own;                   ///< batches, pops
-    std::map<int, obs::MetricsRegistry> tenants;  ///< per-tenant series
-  };
+  /// One worker's per-tenant series, written without locks by that worker.
+  using TenantRegistries = std::map<int, obs::MetricsRegistry>;
 
   void worker_main(int worker_index);
   /// Re-evaluate the hysteresis and re-admit parked requests while below
-  /// the high watermark. Caller holds state_mutex_; `epoch_slot` pushes.
-  void update_shedding_locked(std::size_t epoch_slot);
+  /// the high watermark (all of them while draining). Caller holds
+  /// state_mutex_; returns whether any request moved into the queue, in
+  /// which case the caller wakes the workers after unlocking.
+  bool update_shedding_locked();
   void finish_request(PendingRequest* pending, int worker_index);
   void reject_request(PendingRequest* pending);
 
   ServiceOptions options_;
-  MpmcQueue<PendingRequest*> queue_;
 
   std::mutex drain_mutex_;  ///< serializes drain() callers; outer lock
   mutable std::mutex state_mutex_;
+  std::condition_variable work_ready_;  ///< queue_ non-empty or draining_
   Accounting acct_;
   std::map<int, TenantCounters> tenant_counts_;
+  /// Admitted, waiting for a worker, FIFO; its size is the backlog the
+  /// watermarks act on.
+  std::deque<PendingRequest*> queue_;
   std::deque<PendingRequest*> parked_;  ///< deferred, FIFO
-  std::size_t backlog_ = 0;             ///< requests queued (not executing)
   bool shedding_ = false;
   bool draining_ = false;
   std::uint64_t next_id_ = 1;
 
-  std::vector<WorkerMetrics> worker_metrics_;
+  std::vector<TenantRegistries> worker_metrics_;
   std::vector<std::thread> workers_;
 };
 

@@ -1,5 +1,6 @@
 // Tests for serve/service: admission control, the zero-silent-drop
-// accounting identity, per-tenant metrics isolation, graceful drain, and
+// accounting identity, per-tenant metrics isolation, graceful drain,
+// blocking workers waking for new work, and
 // the determinism contract (a response is bitwise-identical to the direct
 // engine call no matter which worker served it or what admission pressure
 // looked like).
@@ -9,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "model/generators.hpp"
@@ -50,7 +53,6 @@ TEST(ServeService, SingleRequestMatchesDirectRunBitwise) {
 
     ServiceOptions options;
     options.workers = 1;
-    options.max_clients = 1;
     Service service(options);
     Service::Ticket ticket = service.submit(Request(original), 0);
     EXPECT_EQ(ticket.admission, Admission::kAccepted);
@@ -72,7 +74,6 @@ TEST(ServeService, SingleRequestMatchesDirectRunBitwise) {
 TEST(ServeService, AccountingBalancesAtEveryObservationPoint) {
   ServiceOptions options;
   options.workers = 2;
-  options.max_clients = 1;
   Service service(options);
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 24; ++i) {
@@ -101,7 +102,6 @@ TEST(ServeService, AccountingBalancesAtEveryObservationPoint) {
 TEST(ServeService, RejectPolicyAnswersEveryShedRequest) {
   ServiceOptions options;
   options.workers = 1;
-  options.max_clients = 1;
   options.watermark_high = 2;
   options.shed_policy = online::ShedPolicy::kReject;
   Service service(options);
@@ -138,7 +138,6 @@ TEST(ServeService, RejectPolicyAnswersEveryShedRequest) {
 TEST(ServeService, DeferPolicyCompletesEverything) {
   ServiceOptions options;
   options.workers = 1;
-  options.max_clients = 1;
   options.watermark_high = 2;
   options.shed_policy = online::ShedPolicy::kDefer;
   Service service(options);
@@ -166,36 +165,65 @@ TEST(ServeService, DeferPolicyCompletesEverything) {
   EXPECT_EQ(acct.deferred, static_cast<std::uint64_t>(deferred));
 }
 
-TEST(ServeService, QueueHardCapConvertsAcceptanceToRejection) {
+// Drain while both workers are pinned under long requests and the burst
+// behind them is parked: drain() must force-admit the park itself, and
+// every future must be answered by the time it returns.
+TEST(ServeService, DrainAnswersParkedRequestsWhileEveryWorkerIsPinned) {
   ServiceOptions options;
-  options.workers = 1;
-  options.max_clients = 1;
-  options.queue_capacity = 1;  // custody cap, no admission watermark
+  options.workers = 2;
+  options.watermark_high = 2;
+  options.shed_policy = online::ShedPolicy::kDefer;
   Service service(options);
 
   std::vector<Service::Ticket> tickets;
   tickets.push_back(service.submit(make_request(60000, 1), 0));
-  for (int i = 0; i < 8; ++i) {
+  tickets.push_back(service.submit(make_request(60000, 2), 0));
+  for (int i = 0; i < 12; ++i) {
     tickets.push_back(
         service.submit(make_request(10, static_cast<std::uint64_t>(i)), 0));
   }
-  std::uint64_t rejected = 0;
-  for (Service::Ticket& t : tickets) {
-    const Response r = t.response.get();
-    rejected += r.status == ResponseStatus::kRejected ? 1 : 0;
+  int deferred = 0;
+  for (const Service::Ticket& t : tickets) {
+    if (t.admission == Admission::kDeferred) ++deferred;
   }
+  EXPECT_GT(deferred, 0) << "the watermark never tripped";
+
   service.drain();
+  for (Service::Ticket& t : tickets) {
+    ASSERT_EQ(t.response.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready)
+        << "drain() returned before answering request " << t.id;
+    EXPECT_EQ(t.response.get().status, ResponseStatus::kCompleted);
+  }
   const Service::Accounting acct = service.accounting();
   EXPECT_TRUE(acct.balanced());
-  EXPECT_EQ(acct.rejected, rejected);
-  EXPECT_EQ(acct.completed + acct.rejected, 9u);
-  EXPECT_GT(rejected, 0u) << "the custody cap never bit";
+  EXPECT_EQ(acct.completed, tickets.size());
+  EXPECT_EQ(acct.deferred, static_cast<std::uint64_t>(deferred));
+}
+
+// Workers block while the queue is empty; a submission arriving after they
+// have gone to sleep must wake one. A lost wakeup fails the bounded wait
+// instead of hanging the suite.
+TEST(ServeService, IdleWorkersWakeForLateSubmission) {
+  ServiceOptions options;
+  options.workers = 2;
+  Service service(options);
+  for (int round = 0; round < 3; ++round) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    Service::Ticket ticket =
+        service.submit(make_request(12, static_cast<std::uint64_t>(round)), 0);
+    ASSERT_EQ(ticket.response.wait_for(std::chrono::seconds(10)),
+              std::future_status::ready)
+        << "no worker woke for the submission in round " << round;
+    EXPECT_EQ(ticket.response.get().status, ResponseStatus::kCompleted);
+  }
+  service.drain();
+  EXPECT_EQ(service.accounting().completed, 3u);
 }
 
 TEST(ServeService, TenantMetricsIsolateTraffic) {
   ServiceOptions options;
   options.workers = 2;
-  options.max_clients = 1;
   Service service(options);
   std::vector<std::future<Response>> futures;
   const int per_tenant[] = {5, 3, 0, 7};
@@ -232,7 +260,7 @@ TEST(ServeService, TenantMetricsIsolateTraffic) {
 }
 
 TEST(ServeService, SubmitAfterDrainIsRejectedNotDropped) {
-  Service service(ServiceOptions{.workers = 1, .max_clients = 1});
+  Service service(ServiceOptions{.workers = 1});
   service.drain();
   EXPECT_TRUE(service.draining());
   Service::Ticket ticket = service.submit(make_request(10, 3), 0);
@@ -244,7 +272,6 @@ TEST(ServeService, SubmitAfterDrainIsRejectedNotDropped) {
 TEST(ServeService, DrainIsIdempotentAndDestructorSafe) {
   ServiceOptions options;
   options.workers = 2;
-  options.max_clients = 1;
   auto service = std::make_unique<Service>(options);
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 6; ++i) {
@@ -266,7 +293,6 @@ TEST(ServeService, DestructorDrainsOutstandingWork) {
   {
     ServiceOptions options;
     options.workers = 2;
-    options.max_clients = 1;
     Service service(options);
     for (int i = 0; i < 10; ++i) {
       futures.push_back(

@@ -83,7 +83,6 @@ TEST(ServeSoak, EightTenantsFiveHundredRequestsEach) {
   options.clients = kTenants;
   options.requests_per_client = kRequestsPerTenant;
   options.service.workers = 3;
-  options.service.batch_size = 8;
   // Verifying all 4000 differentials would re-run every request serially;
   // the fuzz `serve` property owns the exhaustive bitwise check. The soak
   // checks pairing + accounting at scale.

@@ -12,10 +12,12 @@
 // "edge" lines; instance files (independent tasks) have none. `schedule`,
 // `trace` and `report` auto-detect which one they got.
 
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 #include <iostream>
 #include <map>
@@ -74,6 +76,13 @@ namespace {
 
 using namespace hp;
 
+/// A numeric option whose value does not parse; main() reports it and
+/// exits 2.
+struct BadValue {
+  std::string key;
+  std::string value;
+};
+
 struct Args {
   std::map<std::string, std::string> options;
   [[nodiscard]] std::string get(const std::string& key,
@@ -82,13 +91,42 @@ struct Args {
     return it == options.end() ? fallback : it->second;
   }
   [[nodiscard]] int get_int(const std::string& key, int fallback) const {
-    const auto it = options.find(key);
-    return it == options.end() ? fallback : std::stoi(it->second);
+    return get_number(key, fallback,
+                      [](const std::string& v, std::size_t* used) {
+                        return std::stoi(v, used);
+                      });
+  }
+  [[nodiscard]] std::uint64_t get_u64(const std::string& key,
+                                      std::uint64_t fallback) const {
+    return get_number(key, fallback,
+                      [](const std::string& v, std::size_t* used) {
+                        return static_cast<std::uint64_t>(
+                            std::stoull(v, used));
+                      });
   }
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const {
+    return get_number(key, fallback,
+                      [](const std::string& v, std::size_t* used) {
+                        return std::stod(v, used);
+                      });
+  }
+
+ private:
+  /// `parse(value, &used)` (a std::sto* call) over the whole value, or
+  /// BadValue: junk, trailing characters and out-of-range numbers all fail.
+  template <typename T, typename Parse>
+  [[nodiscard]] T get_number(const std::string& key, T fallback,
+                             Parse parse) const {
     const auto it = options.find(key);
-    return it == options.end() ? fallback : std::stod(it->second);
+    if (it == options.end()) return fallback;
+    std::size_t used = 0;
+    try {
+      const T parsed = parse(it->second, &used);
+      if (used == it->second.size()) return parsed;
+    } catch (const std::logic_error&) {  // invalid_argument, out_of_range
+    }
+    throw BadValue{key, it->second};
   }
 };
 
@@ -122,7 +160,7 @@ int usage() {
       "           [--retries K] [--backoff B] [--seed S] [--horizon H]\n"
       "           [--plan FILE.hpf] [--trace FILE.json] [--csv FILE.csv]\n"
       "  hp_sched serve    [--in FILE | --seed S [--tasks N]] --cpus M --gpus N\n"
-      "           [--clients C] [--requests R] [--workers W] [--batch B]\n"
+      "           [--clients C] [--requests R] [--workers W]\n"
       "           [--watermark K] [--watermark-low K] [--shed defer|reject]\n"
       "           [--backend hp|hp-nospol|heft|dualhp|mixed] [--rank avg|min|fifo]\n"
       "           [--no-verify]\n"
@@ -1090,8 +1128,6 @@ int cmd_serve(const Args& args) {
   driver.requests_per_client = args.get_int("requests", 32);
   driver.verify = args.options.count("no-verify") == 0;
   driver.service.workers = args.get_int("workers", 2);
-  driver.service.batch_size =
-      args.get_int("batch", driver.service.batch_size);
   driver.service.watermark_high =
       static_cast<std::size_t>(args.get_int("watermark", 0));
   driver.service.watermark_low =
@@ -1151,7 +1187,7 @@ int cmd_serve(const Args& args) {
       base = std::move(graph);
     }
   }
-  const std::uint64_t seed = std::stoull(args.get("seed", "1"));
+  const std::uint64_t seed = args.get_u64("seed", 1);
   const std::size_t gen_tasks =
       static_cast<std::size_t>(std::max(1, args.get_int("tasks", 64)));
 
@@ -1236,7 +1272,7 @@ bool parse_scheduler_list(const std::string& text,
 
 int cmd_fuzz(const Args& args) {
   fuzz::RunnerOptions options;
-  options.seed = std::stoull(args.get("seed", "1"));
+  options.seed = args.get_u64("seed", 1);
   options.runs = args.get_int("runs", 100);
   options.knobs.max_tasks = args.get_int("max-tasks", options.knobs.max_tasks);
   options.max_seconds = args.get_double("max-seconds", 0.0);
@@ -1353,18 +1389,23 @@ int main(int argc, char** argv) {
       args.options[key] = "1";  // boolean flag
     }
   }
-  if (command == "generate") return cmd_generate(args);
-  if (command == "info") return cmd_info(args);
-  if (command == "bound") return cmd_bound(args);
-  if (command == "schedule") return cmd_schedule(args);
-  if (command == "trace") return cmd_trace(args);
-  if (command == "report") return cmd_report(args);
-  if (command == "faults") return cmd_faults(args);
-  if (command == "online") return cmd_online(args);
-  if (command == "serve") return cmd_serve(args);
-  if (command == "perf") return cmd_perf(args);
-  if (command == "perf-check") return cmd_perf_check(args);
-  if (command == "fuzz") return cmd_fuzz(args);
-  if (command == "corpus") return cmd_corpus(args);
+  try {
+    if (command == "generate") return cmd_generate(args);
+    if (command == "info") return cmd_info(args);
+    if (command == "bound") return cmd_bound(args);
+    if (command == "schedule") return cmd_schedule(args);
+    if (command == "trace") return cmd_trace(args);
+    if (command == "report") return cmd_report(args);
+    if (command == "faults") return cmd_faults(args);
+    if (command == "online") return cmd_online(args);
+    if (command == "serve") return cmd_serve(args);
+    if (command == "perf") return cmd_perf(args);
+    if (command == "perf-check") return cmd_perf_check(args);
+    if (command == "fuzz") return cmd_fuzz(args);
+    if (command == "corpus") return cmd_corpus(args);
+  } catch (const BadValue& bad) {
+    std::cerr << "bad value for --" << bad.key << ": '" << bad.value << "'\n";
+    return 2;
+  }
   return usage();
 }
